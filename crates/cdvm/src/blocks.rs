@@ -44,8 +44,8 @@
 //! Like the icache there is no shootdown: every entry snapshots the page
 //! table's generation and the global code epoch at formation and is
 //! revalidated on every use (including every *chained* entry), so remaps,
-//! re-protects, re-tags, frame recycling and cross-CPU code deltas applied
-//! at the SMP barrier all force re-formation. Chain links carry a fill
+//! re-protects, re-tags, frame recycling and another CPU's stores to a
+//! code page all force re-formation. Chain links carry a fill
 //! sequence number and are ignored when the target slot was refilled.
 //!
 //! # Cross-domain superblocks
@@ -86,6 +86,10 @@ use crate::isa::{Instr, INSTR_BYTES};
 
 /// Number of cache sets.
 const SETS: usize = 256;
+const _: () = assert!(SETS.is_power_of_two());
+
+/// Right shift that keeps the top `log2(SETS)` bits of a 64-bit hash.
+const SET_SHIFT: u32 = 64 - SETS.trailing_zeros();
 
 /// Associativity: ways per set.
 const WAYS: usize = 2;
@@ -502,7 +506,7 @@ impl BlockCache {
         // service segments at identical page offsets in distant VA windows)
         // alias under any shift-xor fold of the low bits.
         let k = (entry / INSTR_BYTES).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((k >> 56) as usize ^ pt.0.wrapping_mul(0x9e37_79b9)) & (SETS - 1)
+        ((k >> SET_SHIFT) as usize ^ pt.0.wrapping_mul(0x9e37_79b9)) & (SETS - 1)
     }
 
     #[inline]
@@ -788,11 +792,10 @@ mod tests {
         assert_eq!(s.evict_conflicts, 0, "same-entry refresh is not a conflict");
     }
 
-    /// Mirrors the private `BlockCache::set_of` so tests can construct
-    /// same-set conflict groups.
+    /// The set of `entry` in page table `PT`, for building same-set
+    /// conflict groups.
     fn set_of(entry: u64) -> usize {
-        let k = (entry / INSTR_BYTES).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((k >> 56) as usize) & (SETS - 1)
+        BlockCache::set_of(PT, entry)
     }
 
     #[test]

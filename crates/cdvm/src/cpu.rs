@@ -17,7 +17,7 @@ use codoms::check::{AccessDecision, CheckError, Checker};
 use codoms::dcs::{Dcs, DcsError};
 use codoms::{AplCache, Perm};
 use simmem::page::{page_align_down, page_offset, vpn, Access};
-use simmem::{Bus, DomainTag, MemFault, Memory, PageFlags, PageTableId, Pte, Tlb, PAGE_SIZE};
+use simmem::{DomainTag, MemFault, Memory, PageFlags, PageTableId, Pte, Tlb, PAGE_SIZE};
 
 use crate::blocks::{
     form_block, BlockCache, BlockEnd, BlockStats, CrossDesc, CrossGrant, CrossProbe,
@@ -336,15 +336,12 @@ impl Cpu {
         }
     }
 
-    /// Runs until an event or until `self.cycles >= deadline`.
-    ///
-    /// Generic over [`Bus`]: the kernel event loop and single-CPU execution
-    /// pass the machine's [`Memory`] directly; the SMP quantum engine passes
-    /// a per-CPU [`simmem::ShadowMem`] so CPUs can execute concurrently on
-    /// host threads and merge their writes at the barrier.
-    pub fn run<M: Bus>(
+    /// Runs until an event or until `self.cycles >= deadline`. The kernel
+    /// event loop calls this once per scheduled slice, against the
+    /// machine's one shared [`Memory`].
+    pub fn run(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -360,9 +357,9 @@ impl Cpu {
     }
 
     /// The per-instruction run loop (used when the block engine is off).
-    fn run_interp<M: Bus>(
+    fn run_interp(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -384,9 +381,9 @@ impl Cpu {
     /// unblockable PC, a near-deadline entry, a mid-block code-epoch bump —
     /// falls back to the interpreter for exactly one instruction and
     /// re-dispatches, so simulated behavior is identical by construction.
-    fn run_blocks<M: Bus>(
+    fn run_blocks(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -402,10 +399,10 @@ impl Cpu {
         exit
     }
 
-    fn run_blocks_detached<M: Bus>(
+    fn run_blocks_detached(
         &mut self,
         bcache: &mut BlockCache,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         deadline: u64,
@@ -465,10 +462,10 @@ impl Cpu {
     /// validated against the live table generation and code epoch, with
     /// formation (and `mark_code` of the backing frame, so later writes
     /// bump the epoch) on miss. `None` when no block can exist at this PC.
-    fn lookup_or_form<M: Bus>(
+    fn lookup_or_form(
         &mut self,
         bcache: &mut BlockCache,
-        mem: &mut M,
+        mem: &mut Memory,
         cost: &CostModel,
     ) -> Option<usize> {
         let pc = self.pc;
@@ -483,8 +480,8 @@ impl Cpu {
         }
         let pte = mem.translate(pt, pc, Access::Exec).ok()?;
         let block =
-            form_block(pt, pc, table_gen, code_epoch, pte, mem.frame_bytes(pte.frame), cost);
-        mem.mark_code(pte.frame);
+            form_block(pt, pc, table_gen, code_epoch, pte, mem.phys().frame_bytes(pte.frame), cost);
+        mem.phys_mut().mark_code(pte.frame);
         Some(bcache.insert(block))
     }
 
@@ -494,11 +491,11 @@ impl Cpu {
     /// taken/fall-through) chain unconditionally; indirect ends chain
     /// through a last-target inline cache. Every chained entry revalidates
     /// the target against the current generation and epoch.
-    fn next_chained<M: Bus>(
+    fn next_chained(
         &mut self,
         bcache: &mut BlockCache,
         slot: usize,
-        mem: &mut M,
+        mem: &mut Memory,
         cost: &CostModel,
     ) -> Option<usize> {
         let pc = self.pc;
@@ -542,11 +539,11 @@ impl Cpu {
     /// have made) instead of re-derived; any mismatch falls back to the
     /// full [`codoms::check::Checker::check_jump`], which re-installs the
     /// descriptor on success. Disabled by `CDVM_NO_XBLOCKS=1`.
-    fn exec_block<M: Bus>(
+    fn exec_block(
         &mut self,
         bcache: &mut BlockCache,
         slot: usize,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         retired: &mut u64,
@@ -677,7 +674,7 @@ impl Cpu {
             let ev = match bi.instr {
                 Instr::Ld { rd, rs1, imm } => {
                     self.cycles += cost.base;
-                    match self.op_ld::<M, true>(mem, rev, cost, rd, rs1, imm, &mut dmemo) {
+                    match self.op_ld::<true>(mem, rev, cost, rd, rs1, imm, &mut dmemo) {
                         Ok(()) => {
                             self.pc = self.pc.wrapping_add(INSTR_BYTES);
                             StepEvent::Retired
@@ -687,7 +684,7 @@ impl Cpu {
                 }
                 Instr::St { rs1, rs2, imm } => {
                     self.cycles += cost.base;
-                    match self.op_st::<M, true>(mem, rev, cost, rs1, rs2, imm, &mut dmemo) {
+                    match self.op_st::<true>(mem, rev, cost, rs1, rs2, imm, &mut dmemo) {
                         Ok(()) => {
                             self.pc = self.pc.wrapping_add(INSTR_BYTES);
                             StepEvent::Retired
@@ -771,9 +768,9 @@ impl Cpu {
     }
 
     /// Executes a single instruction.
-    pub fn step<M: Bus>(
+    pub fn step(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
     ) -> StepEvent {
@@ -873,7 +870,7 @@ impl Cpu {
                     // miss path just translated instead of walking the
                     // page table a second time through `kread`.
                     let off = page_offset(pc) as usize;
-                    bytes.copy_from_slice(&mem.frame_bytes(pte.frame)[off..off + 8]);
+                    bytes.copy_from_slice(&mem.phys().frame_bytes(pte.frame)[off..off + 8]);
                 } else if mem.kread(self.active_pt, pc, &mut bytes).is_err() {
                     return self.fault(FaultKind::Mem(MemFault::Unmapped { addr: pc }));
                 }
@@ -920,18 +917,25 @@ impl Cpu {
     /// its frame as code so later writes to it bump the global code epoch.
     /// (`mark_code` itself does not bump the epoch, so the snapshot taken
     /// here stays valid until the frame is actually written or freed.)
-    fn fill_icache<M: Bus>(&mut self, mem: &mut M, pte: Pte, pc: u64) {
+    fn fill_icache(&mut self, mem: &mut Memory, pte: Pte, pc: u64) {
         let pt = self.active_pt;
         let table_gen = mem.table_generation(pt);
         let code_epoch = mem.code_epoch();
-        self.icache.fill(pt, vpn(pc), table_gen, code_epoch, pte, mem.frame_bytes(pte.frame));
-        mem.mark_code(pte.frame);
+        self.icache.fill(
+            pt,
+            vpn(pc),
+            table_gen,
+            code_epoch,
+            pte,
+            mem.phys().frame_bytes(pte.frame),
+        );
+        mem.phys_mut().mark_code(pte.frame);
     }
 
-    pub(crate) fn execute<M: Bus>(
+    pub(crate) fn execute(
         &mut self,
         instr: Instr,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
     ) -> StepEvent {
@@ -982,7 +986,7 @@ impl Cpu {
             Srli { rd, rs1, imm } => self.set_reg(rd, self.reg(rs1) >> (imm as u32 & 63)),
 
             Ld { rd, rs1, imm } => {
-                if let Err(ev) = self.op_ld::<M, false>(mem, rev, cost, rd, rs1, imm, &mut None) {
+                if let Err(ev) = self.op_ld::<false>(mem, rev, cost, rd, rs1, imm, &mut None) {
                     return ev;
                 }
             }
@@ -994,8 +998,8 @@ impl Cpu {
                 match self.dcache_hit(mem, cost, addr, 8, true) {
                     Some((pte, ..)) => {
                         let off = page_offset(addr);
-                        let old = mem.frame_read_u64(pte.frame, off);
-                        mem.frame_write_u64(pte.frame, off, old.wrapping_add(self.reg(rs2)));
+                        let old = mem.phys().read_u64(pte.frame, off);
+                        mem.phys_mut().write_u64(pte.frame, off, old.wrapping_add(self.reg(rs2)));
                         self.set_reg(rd, old);
                     }
                     None => match self.data_access(mem, rev, cost, addr, 8, true) {
@@ -1011,7 +1015,7 @@ impl Cpu {
                 }
             }
             St { rs1, rs2, imm } => {
-                if let Err(ev) = self.op_st::<M, false>(mem, rev, cost, rs1, rs2, imm, &mut None) {
+                if let Err(ev) = self.op_st::<false>(mem, rev, cost, rs1, rs2, imm, &mut None) {
                     return ev;
                 }
             }
@@ -1019,7 +1023,7 @@ impl Cpu {
                 let addr = self.reg(rs1).wrapping_add(imm as i64 as u64);
                 match self.dcache_hit(mem, cost, addr, 1, false) {
                     Some((pte, ..)) => {
-                        let b = mem.frame_read_byte(pte.frame, page_offset(addr));
+                        let b = mem.phys().frame_bytes(pte.frame)[page_offset(addr) as usize];
                         self.set_reg(rd, b as u64);
                     }
                     None => match self.data_access(mem, rev, cost, addr, 1, false) {
@@ -1036,10 +1040,10 @@ impl Cpu {
             Stb { rs1, rs2, imm } => {
                 let addr = self.reg(rs1).wrapping_add(imm as i64 as u64);
                 match self.dcache_hit(mem, cost, addr, 1, true) {
-                    Some((pte, ..)) => mem.frame_write_byte(
+                    Some((pte, ..)) => mem.phys_mut().write(
                         pte.frame,
                         page_offset(addr),
-                        (self.reg(rs2) & 0xff) as u8,
+                        &[(self.reg(rs2) & 0xff) as u8],
                     ),
                     None => match self.data_access(mem, rev, cost, addr, 1, true) {
                         Ok(()) => {
@@ -1341,9 +1345,9 @@ impl Cpu {
     /// and the memo plumbing compiles out.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn op_ld<M: Bus, const MEMO: bool>(
+    fn op_ld<const MEMO: bool>(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         rd: u8,
@@ -1356,7 +1360,7 @@ impl Cpu {
             if let Some(m) = memo {
                 if m.vpn == vpn(addr) && m.read_ok && page_offset(addr) <= PAGE_SIZE - 8 {
                     self.dmemo_replay(cost, addr, m.grant);
-                    let v = mem.frame_read_u64(m.pte.frame, page_offset(addr));
+                    let v = mem.phys().read_u64(m.pte.frame, page_offset(addr));
                     self.set_reg(rd, v);
                     return Ok(());
                 }
@@ -1367,7 +1371,7 @@ impl Cpu {
                 if MEMO {
                     *memo = Some(DMemo { vpn: vpn(addr), pte, grant, read_ok, write_ok });
                 }
-                let v = mem.frame_read_u64(pte.frame, page_offset(addr));
+                let v = mem.phys().read_u64(pte.frame, page_offset(addr));
                 self.set_reg(rd, v);
             }
             None => match self.data_access(mem, rev, cost, addr, 8, false) {
@@ -1390,9 +1394,9 @@ impl Cpu {
     /// The `St` operation body; see [`Cpu::op_ld`] for the contract.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn op_st<M: Bus, const MEMO: bool>(
+    fn op_st<const MEMO: bool>(
         &mut self,
-        mem: &mut M,
+        mem: &mut Memory,
         rev: &mut RevocationTable,
         cost: &CostModel,
         rs1: u8,
@@ -1405,7 +1409,7 @@ impl Cpu {
             if let Some(m) = memo {
                 if m.vpn == vpn(addr) && m.write_ok && page_offset(addr) <= PAGE_SIZE - 8 {
                     self.dmemo_replay(cost, addr, m.grant);
-                    mem.frame_write_u64(m.pte.frame, page_offset(addr), self.reg(rs2));
+                    mem.phys_mut().write_u64(m.pte.frame, page_offset(addr), self.reg(rs2));
                     return Ok(());
                 }
             }
@@ -1415,7 +1419,7 @@ impl Cpu {
                 if MEMO {
                     *memo = Some(DMemo { vpn: vpn(addr), pte, grant, read_ok, write_ok });
                 }
-                mem.frame_write_u64(pte.frame, page_offset(addr), self.reg(rs2))
+                mem.phys_mut().write_u64(pte.frame, page_offset(addr), self.reg(rs2))
             }
             None => match self.data_access(mem, rev, cost, addr, 8, true) {
                 Ok(()) => {
@@ -1458,9 +1462,9 @@ impl Cpu {
     /// bytes frame-direct. `None` when the access must take the full
     /// [`Cpu::data_access`] walk (straddle, cold, or any guard mismatch).
     #[inline]
-    fn dcache_hit<M: Bus>(
+    fn dcache_hit(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         cost: &CostModel,
         addr: u64,
         size: u64,
@@ -1495,9 +1499,9 @@ impl Cpu {
     /// accesses are never cached (byte-ranged and revocation-sensitive);
     /// capability-storage pages cannot reach here (the tamper fault
     /// already fired).
-    fn dcache_fill<M: Bus>(
+    fn dcache_fill(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         addr: u64,
         size: u64,
     ) -> Option<(Pte, DGrant, bool, bool)> {
@@ -1542,9 +1546,9 @@ impl Cpu {
 
     /// Full check for a plain data access: conventional page bits, the
     /// capability-storage tamper rule, and the CODOMs domain check.
-    fn data_access<M: Bus>(
+    fn data_access(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         rev: &RevocationTable,
         cost: &CostModel,
         addr: u64,
@@ -1601,9 +1605,9 @@ impl Cpu {
 
     /// CODOMs-only check (used by CapLd/CapSt, which are allowed to touch
     /// capability-storage pages).
-    fn codoms_check<M: Bus>(
+    fn codoms_check(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         rev: &RevocationTable,
         _cost: &CostModel,
         addr: u64,
@@ -1638,7 +1642,7 @@ impl Cpu {
     /// Verifies that `addr` is on a mapped capability-storage page (with
     /// write permission if `write`). DCS traffic uses this (the DCS bounds
     /// registers are the authority, so no CODOMs check).
-    fn capstore_page<M: Bus>(&self, mem: &M, addr: u64, write: bool) -> Result<(), StepEvent> {
+    fn capstore_page(&self, mem: &Memory, addr: u64, write: bool) -> Result<(), StepEvent> {
         let access = if write { Access::Write } else { Access::Read };
         let pte = match mem.translate(self.active_pt, addr, access) {
             Ok(p) => p,
@@ -1650,9 +1654,9 @@ impl Cpu {
         Ok(())
     }
 
-    fn cap_apl_take<M: Bus>(
+    fn cap_apl_take(
         &mut self,
-        mem: &M,
+        mem: &Memory,
         rev: &RevocationTable,
         base: u64,
         len: u64,

@@ -44,6 +44,10 @@ use simmem::{DomainTag, PageTableId, Pte};
 
 /// Number of direct-mapped entries.
 const ENTRIES: usize = 256;
+const _: () = assert!(ENTRIES.is_power_of_two());
+
+/// Right shift that keeps the top `log2(ENTRIES)` bits of a 64-bit hash.
+const INDEX_SHIFT: u32 = 64 - ENTRIES.trailing_zeros();
 
 /// What authorised the cached page access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +102,7 @@ impl DCache {
         // pages in distant VA windows (stack, heap, shared dIPC regions)
         // don't alias when they agree in the low page-number bits.
         let k = vpn.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((k >> 56) as usize ^ pt.0.wrapping_mul(0x9e37_79b9)) & (ENTRIES - 1)
+        ((k >> INDEX_SHIFT) as usize ^ pt.0.wrapping_mul(0x9e37_79b9)) & (ENTRIES - 1)
     }
 
     /// Looks up a served decision for a `write`/read access on `(pt, vpn)`

@@ -173,23 +173,6 @@ impl RevocationTable {
         *self.epochs.entry(thread).or_insert(0) += 1;
     }
 
-    /// Folds another table into this one, keeping the higher epoch per
-    /// thread.
-    ///
-    /// The SMP engine runs each CPU's quantum against a clone of the shared
-    /// table and merges the clones back at the barrier. Taking the maximum is
-    /// exact — not an approximation — because a thread's epoch is only ever
-    /// bumped by the one CPU the thread is currently running on, so for any
-    /// given thread at most one clone diverges from the shared value.
-    pub fn merge_max(&mut self, other: &RevocationTable) {
-        for (&thread, &epoch) in &other.epochs {
-            let e = self.epochs.entry(thread).or_insert(0);
-            if epoch > *e {
-                *e = epoch;
-            }
-        }
-    }
-
     /// True if `cap` is currently valid for use by `thread`.
     ///
     /// Sync capabilities are valid only on their owning thread and only while

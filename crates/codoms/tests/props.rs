@@ -204,8 +204,8 @@ proptest! {
 
     /// Check results are order-independent across CPUs: two hardware threads
     /// with independent APL caches — one cold, one pre-filled in a different
-    /// order, evaluating the queries in a rotated order against a cloned
-    /// revocation table (the SMP engine's per-CPU clone) — reach the same
+    /// order, evaluating the queries in a rotated order against a copy of
+    /// the same revocation table — reach the same
     /// allow/deny outcome (including the denial reason) for every access.
     /// The APL cache is a pure cache: fill order and residency never flip an
     /// outcome. Only the *credited authority* may differ (a capability hit
@@ -247,7 +247,7 @@ proptest! {
         }
 
         // CPU B: cache warmed in an arbitrary order, queries rotated, and
-        // the revocation table is the barrier-time clone.
+        // its own copy of the revocation table.
         let rev_b = rev.clone();
         let mut cache_b = AplCache::new();
         for t in prefill {

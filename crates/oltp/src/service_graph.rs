@@ -257,7 +257,7 @@ pub struct GuestCounts {
 pub struct RunOpts {
     /// Settling time before the window opens (threads spawn + park), ns.
     pub settle_ns: u64,
-    /// Injection slice, ns (effective floor: one SMP quantum).
+    /// Injection slice, ns (effective floor: one kernel step).
     pub slice_ns: u64,
     /// Post-window drain time for in-flight requests, ns.
     pub drain_ns: u64,

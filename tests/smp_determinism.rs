@@ -1,22 +1,17 @@
-//! Differential proof that the SMP machine is deterministic:
-//!
-//! * with one CPU, `cdvm::Machine` is byte-identical to driving
-//!   `Cpu::run` against `Memory` directly (the pre-SMP path);
-//! * with four CPUs, the simulated outcome — architectural state, memory,
-//!   traces — is bit-identical across `SMP_HOST_THREADS` = 1/2/8 and
-//!   across repeated runs, even though host scheduling differs;
-//! * concurrent per-CPU trace emission merges into one valid,
-//!   deterministic Chrome-trace stream.
+//! Differential proof that the engine layers do not perturb multi-CPU
+//! execution: four CPUs run on one shared [`Memory`] the way the kernel's
+//! `run_cpu` drives them — one `Cpu::run` slice per CPU in turn — and the
+//! full observable outcome (architectural state, memory, traces) is
+//! byte-identical with the block engine, crossing descriptors and
+//! direct-threaded dispatch each forced on and off.
 //!
 //! The workload is deliberately adversarial: all CPUs hammer the same
-//! shared page (including the *same byte*, exercising the deterministic
-//! higher-CPU-wins conflict rule), write per-CPU slots 8 bytes apart
-//! (exercising byte-granular merge — a cache-line-granular merge would
-//! lose adjacent updates), and skew their cycle counts with CPU-dependent
-//! work so quantum boundaries never line up.
+//! shared page (including the *same byte*), write per-CPU slots 8 bytes
+//! apart, and skew their cycle counts with CPU-dependent work so slice
+//! boundaries never line up.
 
 use cdvm::isa::reg::*;
-use cdvm::{Asm, CostModel, Cpu, Instr, Machine, StepEvent};
+use cdvm::{Asm, CostModel, Cpu, Instr, StepEvent};
 use codoms::cap::RevocationTable;
 use simmem::{DomainTag, Memory, PageFlags, PAGE_SIZE};
 
@@ -46,7 +41,7 @@ fn program() -> Vec<u8> {
     a.push(Instr::Ld { rd: T1, rs1: S3, imm: 0 });
     a.push(Instr::Add { rd: T1, rs1: T1, rs2: S5 });
     a.push(Instr::St { rs1: S3, rs2: T1, imm: 0 });
-    // CPU-dependent cycle skew so quantum boundaries interleave unevenly.
+    // CPU-dependent cycle skew so slice boundaries interleave unevenly.
     a.push(Instr::Slli { rd: T2, rs1: S0, imm: 7 });
     a.push(Instr::Work { rs1: T2, imm: 64 });
     a.push(Instr::Addi { rd: S5, rs1: S5, imm: -1 });
@@ -71,9 +66,9 @@ fn init_cpu(cpu: &mut Cpu, i: usize) {
     cpu.thread = 1 + i as u64;
 }
 
-/// Full observable fingerprint: per-CPU architectural state, the shared
-/// and private pages, and the rendered trace (if tracing).
-fn fingerprint(cpus: &[Cpu], mem: &Memory, trace: Option<(String, String, String)>) -> String {
+/// Full observable fingerprint: per-CPU architectural state plus the
+/// shared and private pages.
+fn fingerprint(cpus: &[Cpu], mem: &Memory) -> String {
     let mut s = String::new();
     for c in cpus {
         s.push_str(&format!(
@@ -88,156 +83,62 @@ fn fingerprint(cpus: &[Cpu], mem: &Memory, trace: Option<(String, String, String
         mem.kread(Memory::GLOBAL_PT, PRIVATE + i as u64 * PAGE_SIZE, &mut buf).unwrap();
         s.push_str(&format!("private{i}={buf:?}\n"));
     }
-    if let Some((json, folded, summary)) = trace {
-        s.push_str(&json);
-        s.push_str(&folded);
-        s.push_str(&summary);
-    }
     s
 }
 
-fn run_machine(n: usize, host_threads: usize, quantum: u64, tracing: bool) -> String {
-    if tracing {
-        simtrace::enable("/dev/null");
-    }
-    let mut m = Machine::new(n, build_mem(n), CostModel::default());
-    m.set_quantum(quantum);
-    m.set_host_threads(host_threads);
-    for (i, cpu) in m.cpus.iter_mut().enumerate() {
+/// Runs the workload on four CPUs sharing one [`Memory`]: every round gives
+/// each live CPU one `Cpu::run` slice of 10 000 cycles, in CPU-index order,
+/// until all of them halt. Returns the fingerprint.
+fn run_slices() -> String {
+    const CPUS: usize = 4;
+    let mut mem = build_mem(CPUS);
+    let mut cpus: Vec<Cpu> = (0..CPUS).map(Cpu::new).collect();
+    for (i, cpu) in cpus.iter_mut().enumerate() {
         init_cpu(cpu, i);
     }
-    let quanta = m.run_to_halt(10_000);
-    assert!(m.all_halted(), "workload must finish (ran {quanta} quanta)");
-    let trace = tracing.then(simtrace::render);
-    if tracing {
-        simtrace::disable();
-    }
-    fingerprint(&m.cpus, &m.mem, trace)
-}
-
-/// The pre-SMP single-CPU path: `Cpu::run` straight against `Memory` in
-/// quantum-sized slices, exactly what callers did before `Machine`.
-fn run_direct(quantum: u64, tracing: bool) -> String {
-    if tracing {
-        simtrace::enable("/dev/null");
-    }
-    let mut mem = build_mem(1);
-    let mut cpu = Cpu::new(0);
-    init_cpu(&mut cpu, 0);
     let mut rev = RevocationTable::new();
     let cost = CostModel::default();
-    loop {
-        let exit = cpu.run(&mut mem, &mut rev, &cost, cpu.cycles + quantum);
-        if exit.event == StepEvent::Halt {
+    let mut halted = [false; CPUS];
+    for _ in 0..10_000 {
+        for (cpu, h) in cpus.iter_mut().zip(&mut halted).filter(|(_, h)| !**h) {
+            let exit = cpu.run(&mut mem, &mut rev, &cost, cpu.cycles + 10_000);
+            *h = exit.event == StepEvent::Halt;
+            assert!(*h || exit.event == StepEvent::Retired, "unexpected {:?}", exit.event);
+        }
+        if halted.iter().all(|&h| h) {
             break;
         }
-        assert_eq!(exit.event, StepEvent::Retired, "unexpected event");
     }
-    let trace = tracing.then(simtrace::render);
-    if tracing {
-        simtrace::disable();
-    }
-    fingerprint(std::slice::from_ref(&cpu), &mem, trace)
+    assert!(halted.iter().all(|&h| h), "workload must finish");
+    fingerprint(&cpus, &mem)
 }
 
-#[test]
-fn n1_machine_is_byte_identical_to_direct_cpu_path() {
-    for quantum in [1_000u64, 100_000] {
-        let direct = run_direct(quantum, false);
-        let machine = run_machine(1, 1, quantum, false);
-        assert_eq!(direct, machine, "quantum={quantum}");
-        // Host thread count is irrelevant at N=1 (direct path, no pool).
-        assert_eq!(direct, run_machine(1, 8, quantum, false));
-    }
-}
-
-/// `simmem::set_blocks` is process-global; any test whose assertion
-/// compares two traced runs (their summaries embed the mode-dependent
-/// `host.*` cache counters) holds this lock so a concurrent mode toggle
-/// can't split a comparison pair across modes.
+/// The engine switches (`simmem::set_blocks` and friends) are
+/// process-global; every test that toggles them holds this lock so a
+/// concurrent toggle can't split a comparison pair across modes.
 static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-#[test]
-fn n1_machine_trace_is_byte_identical_to_direct_cpu_path() {
+/// Runs the workload with the switch `set` forced off, then on, and
+/// asserts identical fingerprints. `blocks` pins the block engine for
+/// switches that only act inside it.
+fn assert_switch_invisible(name: &str, blocks: Option<bool>, set: fn(Option<bool>)) {
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let direct = run_direct(10_000, true);
-    let machine = run_machine(1, 1, 10_000, true);
-    assert_eq!(direct, machine);
+    simmem::set_blocks(blocks);
+    set(Some(false));
+    let off = run_slices();
+    set(Some(true));
+    let on = run_slices();
+    set(None);
+    simmem::set_blocks(None);
+    assert_eq!(off, on, "{name} changed the 4-CPU outcome");
 }
 
-#[test]
-fn n4_bit_identical_across_host_thread_counts_and_repeats() {
-    let reference = run_machine(4, 1, 10_000, false);
-    for threads in [1usize, 2, 8] {
-        for rep in 0..2 {
-            let got = run_machine(4, threads, 10_000, false);
-            assert_eq!(reference, got, "threads={threads} rep={rep}");
-        }
-    }
-    // The shared page must show the deterministic conflict outcome (the
-    // highest CPU index wins the same-byte race)…
-    assert!(reference.contains("shared=[3,"), "conflict byte: {}", &reference[..600]);
-    // …while every CPU's adjacent 8-byte slot survived the merge intact
-    // (all four private pages accumulated the full 50-iteration sum).
-    let expect_sum = (1..=50u64).sum::<u64>();
-    for i in 0..4 {
-        assert!(
-            reference.contains(&format!("private{i}=[{}", expect_sum.to_le_bytes()[0])),
-            "cpu {i} lost adjacent writes"
-        );
-    }
-}
-
-#[test]
-fn n4_trace_bit_identical_across_host_thread_counts() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let reference = run_machine(4, 1, 10_000, true);
-    for threads in [2usize, 8] {
-        assert_eq!(reference, run_machine(4, threads, 10_000, true), "threads={threads}");
-    }
-}
-
-/// Two CPUs emitting trace events concurrently (via capture/replay) must
-/// merge into one valid, deterministic Chrome-trace JSON — the
-/// `DIPC_TRACE`-under-SMP contract.
-#[test]
-fn concurrent_emitters_produce_valid_chrome_trace() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let run = || {
-        simtrace::enable("/dev/null");
-        let mut m = Machine::new(2, build_mem(2), CostModel::default());
-        m.set_quantum(5_000);
-        m.set_host_threads(2);
-        for (i, cpu) in m.cpus.iter_mut().enumerate() {
-            init_cpu(cpu, i);
-        }
-        m.run_to_halt(10_000);
-        let r = simtrace::render();
-        simtrace::disable();
-        r
-    };
-    let (json, folded, summary) = run();
-    assert_eq!((json.clone(), folded, summary), run(), "trace must be reproducible");
-    let stats = simtrace::check::validate_chrome_json(&json).expect("well-formed JSON");
-    assert_eq!(stats.unbalanced_begins, 0, "no torn spans from interleaving");
-}
-
-/// The superblock engine must not perturb SMP determinism: the N=4
-/// machine's full fingerprint — architectural state, merged memory, and
-/// quantum boundaries — is byte-identical with the engine forced on and
-/// forced off, for every host thread count. (This is the block-mode
-/// variant of the cross-thread-count identity above.)
+/// The superblock engine must not perturb multi-CPU execution: the 4-CPU
+/// fingerprint — architectural state and shared memory — is byte-identical
+/// with the engine forced on and forced off.
 #[test]
 fn n4_identical_with_and_without_block_engine() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_blocks(Some(false));
-    let interp = run_machine(4, 1, 10_000, false);
-    simmem::set_blocks(Some(true));
-    for threads in [1usize, 2, 8] {
-        let got = run_machine(4, threads, 10_000, false);
-        assert_eq!(interp, got, "block engine changed SMP outcome (threads={threads})");
-    }
-    simmem::set_blocks(None);
+    assert_switch_invisible("block engine", None, simmem::set_blocks);
 }
 
 /// Same across-mode identity for the exported traces: the Chrome JSON and
@@ -254,18 +155,11 @@ fn n4_traces_identical_with_and_without_block_engine() {
     let run = |blocks: bool| {
         simmem::set_blocks(Some(blocks));
         simtrace::enable("/dev/null");
-        let mut m = Machine::new(4, build_mem(4), CostModel::default());
-        m.set_quantum(10_000);
-        m.set_host_threads(2);
-        for (i, cpu) in m.cpus.iter_mut().enumerate() {
-            init_cpu(cpu, i);
-        }
-        m.run_to_halt(10_000);
-        assert!(m.all_halted());
+        let fp = run_slices();
         let (json, folded, summary) = simtrace::render();
         simtrace::disable();
         simmem::set_blocks(None);
-        (fingerprint(&m.cpus, &m.mem, None), json, folded, strip_host(&summary))
+        (fp, json, folded, strip_host(&summary))
     };
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let interp = run(false);
@@ -276,37 +170,17 @@ fn n4_traces_identical_with_and_without_block_engine() {
     assert_eq!(interp.3, blocks.3, "summary (sans host.*) diverged");
 }
 
-/// Same identity for the third-generation engine layers: the N=4 machine's
+/// Same identity for the third-generation engine layers: the 4-CPU
 /// fingerprint is byte-identical with the crossing-descriptor/translation
-/// caches (xblocks) forced on and off, for every `SMP_HOST_THREADS`.
+/// caches (xblocks) forced on and off.
 #[test]
 fn n4_identical_with_and_without_xblocks() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_blocks(Some(true));
-    simmem::set_xblocks(Some(false));
-    let reference = run_machine(4, 1, 10_000, false);
-    simmem::set_xblocks(Some(true));
-    for threads in [1usize, 2, 8] {
-        let got = run_machine(4, threads, 10_000, false);
-        assert_eq!(reference, got, "xblocks changed SMP outcome (threads={threads})");
-    }
-    simmem::set_blocks(None);
-    simmem::set_xblocks(None);
+    assert_switch_invisible("xblocks", Some(true), simmem::set_xblocks);
 }
 
 /// And for direct-threaded dispatch: handler-table execution of pure
 /// instructions must not perturb the fingerprint either.
 #[test]
 fn n4_identical_with_and_without_threaded_dispatch() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_blocks(Some(true));
-    simmem::set_threaded(Some(false));
-    let reference = run_machine(4, 1, 10_000, false);
-    simmem::set_threaded(Some(true));
-    for threads in [1usize, 2, 8] {
-        let got = run_machine(4, threads, 10_000, false);
-        assert_eq!(reference, got, "threaded dispatch changed SMP outcome (threads={threads})");
-    }
-    simmem::set_blocks(None);
-    simmem::set_threaded(None);
+    assert_switch_invisible("threaded dispatch", Some(true), simmem::set_threaded);
 }
