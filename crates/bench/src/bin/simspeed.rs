@@ -1,25 +1,20 @@
 //! Host simulation speed: how many simulated instructions per host second
-//! the executor retires across the host-cache mode matrix — the
-//! per-instruction fast path (decoded-instruction cache;
-//! `CDVM_NO_FASTPATH=1` disables), the superblock engine
-//! (`CDVM_NO_BLOCKS=1`), the cross-domain superblock layer (crossing
-//! descriptors + memory-operand translation cache; `CDVM_NO_XBLOCKS=1`)
-//! and direct-threaded dispatch (`CDVM_NO_THREADED=1`).
+//! the executor retires in its two modes — the interpreter oracle (every
+//! host cache off, as under `CDVM_NO_FASTPATH=1`) and the full engine
+//! (decoded-instruction cache, superblocks with crossing descriptors and
+//! direct-threaded dispatch, and the memory-operand translation cache).
 //!
 //! Unlike every other binary here, this one measures *wall-clock* host
 //! performance, not simulated cycles — the simulated results are identical
-//! in all modes by construction (see `tests/fastpath_diff.rs`). Emits
+//! in both modes by construction (see `tests/fastpath_diff.rs`). Emits
 //! `results/BENCH_simspeed.json`, including the crossing-descriptor,
-//! block, icache and data-translation-cache hit rates of the full
-//! configuration and the host CPU count (wall-clock numbers are
-//! hardware-dependent).
+//! block, icache and data-translation-cache hit rates of the engine and
+//! the host CPU count (wall-clock numbers are hardware-dependent).
 //!
 //! `SIMSPEED_ASSERT=1` additionally asserts (a) that the host cache
 //! counters are identical across repeated trials — the deterministic part
 //! of the emitted JSON regenerates bit-identically — and (b) that the
-//! full configuration beats the fastpath-only configuration on every
-//! workload. Both asserts are skipped when any `CDVM_NO_*` kill switch is
-//! set (the matrix is then deliberately degraded).
+//! engine beats the interpreter on every workload.
 
 use std::time::Instant;
 
@@ -107,9 +102,9 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-/// Builds a fresh bare machine for a raw workload (all cache modes are
-/// sampled at CPU construction, so callers flip the `simmem::set_*`
-/// switches first).
+/// Builds a fresh bare machine for a raw workload (the engine mode is
+/// sampled at CPU construction, so callers call `simmem::set_fastpath`
+/// first).
 fn build(code: &[u8], callee: Option<&Vec<u8>>) -> (Memory, Cpu) {
     let mut mem = Memory::new();
     let pt = Memory::GLOBAL_PT;
@@ -225,22 +220,11 @@ fn measure(w: &Workload, target: u64, assert_identity: bool) -> (f64, HostCacheS
     trials.into_iter().max_by(|a, b| a.0.total_cmp(&b.0)).unwrap()
 }
 
-/// The six cache configurations, in reporting order:
-/// `(key, fastpath, blocks, xblocks, threaded)`.
-const MODES: [(&str, bool, bool, bool, bool); 6] = [
-    ("interp", false, false, false, false),
-    ("fastpath", true, false, false, false),
-    ("blocks_nofp", false, true, false, false),
-    ("blocks", true, true, false, false),
-    ("xblocks", true, true, true, false),
-    ("full", true, true, true, true),
-];
+/// The two engine modes, in reporting order: `(key, engine)`.
+const MODES: [(&str, bool); 2] = [("interp", false), ("engine", true)];
 
 const INTERP: usize = 0;
-const FASTPATH: usize = 1;
-const BLOCKS: usize = 3;
-const XBLOCKS: usize = 4;
-const FULL: usize = 5;
+const ENGINE: usize = 1;
 
 fn geomean(ratios: impl Iterator<Item = f64>) -> f64 {
     let (sum, n) = ratios.fold((0.0, 0usize), |(s, n), r| (s + r.ln(), n + 1));
@@ -251,98 +235,55 @@ fn main() {
     bench::banner("simspeed - host simulation throughput (wall clock)");
     let scale = bench::scale();
     let target = 2_000_000 * scale;
-    // Respect an operator's env kill-switches: a mode that would enable a
-    // cache the environment disabled stays disabled (and says so).
-    let no_fp = std::env::var("CDVM_NO_FASTPATH").is_ok();
-    let no_blocks = std::env::var("CDVM_NO_BLOCKS").is_ok();
-    let no_xblocks = std::env::var("CDVM_NO_XBLOCKS").is_ok();
-    let no_threaded = std::env::var("CDVM_NO_THREADED").is_ok();
-    let degraded = no_fp || no_blocks || no_xblocks || no_threaded;
-    if no_fp {
-        println!("note: CDVM_NO_FASTPATH is set; fastpath modes run uncached");
-    }
-    if no_blocks {
-        println!("note: CDVM_NO_BLOCKS is set; block modes run without the block engine");
-    }
-    if no_xblocks {
-        println!("note: CDVM_NO_XBLOCKS is set; crossing/data caches stay off");
-    }
-    if no_threaded {
-        println!("note: CDVM_NO_THREADED is set; direct-threaded dispatch stays off");
-    }
-    let do_assert = std::env::var("SIMSPEED_ASSERT").is_ok() && !degraded;
+    let do_assert = std::env::var("SIMSPEED_ASSERT").is_ok();
     println!(
-        "{:<8} {:<34} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
-        "workload",
-        "description",
-        "interp",
-        "fastpath",
-        "blk-nofp",
-        "blocks",
-        "xblocks",
-        "full",
-        "vs-blk",
-        "xhit"
+        "{:<8} {:<34} {:>8} {:>8} {:>8} {:>7}",
+        "workload", "description", "interp", "engine", "speedup", "xhit"
     );
 
     struct Row {
         name: &'static str,
         desc: &'static str,
-        mips: [f64; 6],
+        mips: [f64; 2],
         caches: HostCacheStats,
     }
     let mut rows = Vec::new();
     for w in workloads() {
-        let mut mips = [0.0f64; 6];
+        let mut mips = [0.0f64; 2];
         let mut caches = HostCacheStats::default();
-        for (k, &(_, fastpath, blocks, xblocks, threaded)) in MODES.iter().enumerate() {
-            simmem::set_fastpath(Some(fastpath && !no_fp));
-            simmem::set_blocks(Some(blocks && !no_blocks));
-            simmem::set_xblocks(Some(xblocks && !no_xblocks));
-            simmem::set_threaded(Some(threaded && !no_threaded));
+        for (k, &(_, engine)) in MODES.iter().enumerate() {
+            simmem::set_fastpath(Some(engine));
             let (m, c) = measure(&w, target, do_assert);
             mips[k] = m;
-            if k == FULL {
+            if k == ENGINE {
                 caches = c;
             }
         }
         simmem::set_fastpath(None);
-        simmem::set_blocks(None);
-        simmem::set_xblocks(None);
-        simmem::set_threaded(None);
+        let speedup = mips[ENGINE] / mips[INTERP];
         println!(
-            "{:<8} {:<34} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>7.2}x {:>6.1}%",
+            "{:<8} {:<34} {:>8.2} {:>8.2} {:>7.2}x {:>6.1}%",
             w.name,
             w.desc,
             mips[INTERP],
-            mips[FASTPATH],
-            mips[2],
-            mips[BLOCKS],
-            mips[XBLOCKS],
-            mips[FULL],
-            mips[FULL] / mips[BLOCKS],
+            mips[ENGINE],
+            speedup,
             100.0 * caches.cross_hit_rate()
         );
         if do_assert {
             assert!(
-                mips[FULL] / mips[FASTPATH] >= 1.0,
-                "{}: full configuration ({:.2} MIPS) must not lose to fastpath-only ({:.2} MIPS)",
+                speedup >= 1.0,
+                "{}: engine ({:.2} MIPS) must not lose to the interpreter ({:.2} MIPS)",
                 w.name,
-                mips[FULL],
-                mips[FASTPATH]
+                mips[ENGINE],
+                mips[INTERP]
             );
         }
         rows.push(Row { name: w.name, desc: w.desc, mips, caches });
     }
 
-    let geo_total = geomean(rows.iter().map(|r| r.mips[FULL] / r.mips[INTERP]));
-    let geo_vs_fastpath = geomean(rows.iter().map(|r| r.mips[FULL] / r.mips[FASTPATH]));
-    let geo_vs_blocks = geomean(rows.iter().map(|r| r.mips[FULL] / r.mips[BLOCKS]));
-    println!(
-        "geomean speedup: {geo_total:.2}x vs interp, {geo_vs_fastpath:.2}x vs fastpath-only, \
-         {geo_vs_blocks:.2}x vs block engine (acceptance floor: 2.00x geomean over the \
-         committed block-engine baseline)"
-    );
+    let geo = geomean(rows.iter().map(|r| r.mips[ENGINE] / r.mips[INTERP]));
+    println!("geomean speedup: {geo:.2}x engine vs interp");
 
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json_rows: Vec<String> = rows
@@ -350,25 +291,15 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"workload\": \"{}\", \"description\": \"{}\", \
-                 \"mips_slowpath\": {:.3}, \"mips_fastpath\": {:.3}, \
-                 \"mips_blocks_nofp\": {:.3}, \"mips_blocks\": {:.3}, \
-                 \"mips_xblocks\": {:.3}, \"mips_threaded\": {:.3}, \
-                 \"speedup\": {:.3}, \"speedup_vs_fastpath\": {:.3}, \
-                 \"speedup_vs_blocks\": {:.3}, \
+                 \"mips_interp\": {:.3}, \"mips_engine\": {:.3}, \"speedup\": {:.3}, \
                  \"block_hit_rate\": {:.4}, \"icache_hit_rate\": {:.4}, \
                  \"cross_hit_rate\": {:.4}, \"dcache_hit_rate\": {:.4}, \
                  \"block_evict_conflicts\": {}}}",
                 r.name,
                 r.desc,
                 r.mips[INTERP],
-                r.mips[FASTPATH],
-                r.mips[2],
-                r.mips[BLOCKS],
-                r.mips[XBLOCKS],
-                r.mips[FULL],
-                r.mips[FULL] / r.mips[INTERP],
-                r.mips[FULL] / r.mips[FASTPATH],
-                r.mips[FULL] / r.mips[BLOCKS],
+                r.mips[ENGINE],
+                r.mips[ENGINE] / r.mips[INTERP],
                 r.caches.block_hit_rate(),
                 r.caches.icache_hit_rate(),
                 r.caches.cross_hit_rate(),
@@ -380,9 +311,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"simspeed\",\n  \"scale\": {scale},\n  \
          \"target_instructions\": {target},\n  \"host_cpus\": {host_cpus},\n  \
-         \"geomean_speedup\": {geo_total:.3},\n  \
-         \"geomean_speedup_vs_fastpath\": {geo_vs_fastpath:.3},\n  \
-         \"geomean_speedup_vs_blocks\": {geo_vs_blocks:.3},\n  \
+         \"geomean_speedup\": {geo:.3},\n  \
          \"workloads\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );

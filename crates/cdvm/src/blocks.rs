@@ -60,7 +60,6 @@
 //! capability grants — the identical capability still present and
 //! unrevoked), the executor replays only the crossing's architectural
 //! side effects and skips the full [`codoms::Checker::check_jump`] scan.
-//! Gated by `CDVM_NO_XBLOCKS=1` ([`simmem::xblocks_enabled`]).
 //!
 //! # Direct-threaded dispatch
 //!
@@ -68,12 +67,10 @@
 //! instructions (infallible, unprivileged, non-memory; see
 //! [`crate::threaded`]), and [`Block::pure_len`] is the length of the
 //! maximal pure prefix. ALU-dense bodies dispatch through the handler
-//! table instead of the full `execute()` match. Gated by
-//! `CDVM_NO_THREADED=1` ([`simmem::threaded_enabled`]).
+//! table instead of the full `execute()` match.
 //!
-//! Disable at runtime with `CDVM_NO_BLOCKS=1` (see
-//! [`simmem::blocks_enabled`]); composes with `CDVM_NO_FASTPATH=1`, which
-//! gates the per-instruction caches independently.
+//! The block engine is part of the full engine; `CDVM_NO_FASTPATH=1` (see
+//! [`simmem::fastpath_enabled`]) runs the interpreter oracle instead.
 
 use codoms::cap::Capability;
 use codoms::HwTag;

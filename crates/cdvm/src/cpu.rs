@@ -146,26 +146,19 @@ pub struct Cpu {
     /// the capability-revocation injection site so the untraced, unfaulted
     /// hot loop stays free of thread-local lookups.
     chaos: bool,
-    /// Whether this CPU uses the decoded-instruction cache (sampled from
-    /// [`simmem::fastpath_enabled`] at construction).
-    fastpath: bool,
+    /// Whether this CPU runs the full engine — decoded-instruction cache,
+    /// superblocks with crossing descriptors and direct-threaded dispatch,
+    /// and the memory-operand translation cache — or the interpreter
+    /// oracle with every host cache off (sampled from
+    /// [`simmem::fastpath_enabled`] at construction). Blocks only engage
+    /// through [`Cpu::run`]; direct [`Cpu::step`] callers always take the
+    /// per-instruction path.
+    engine: bool,
     /// Per-page decoded-instruction cache (host fast path; see
     /// [`crate::icache`]).
     icache: InstrCache,
-    /// Whether this CPU uses the superblock engine (sampled from
-    /// [`simmem::blocks_enabled`] at construction). Blocks only engage
-    /// through [`Cpu::run`]; direct [`Cpu::step`] callers always take the
-    /// per-instruction path.
-    blocks: bool,
     /// Superblock cache (host fast path; see [`crate::blocks`]).
     bcache: BlockCache,
-    /// Whether block-edge crossing descriptors and the memory-operand
-    /// translation cache are in use (sampled from
-    /// [`simmem::xblocks_enabled`] at construction).
-    xblocks: bool,
-    /// Whether the direct-threaded pure-prefix dispatcher is in use
-    /// (sampled from [`simmem::threaded_enabled`] at construction).
-    threaded: bool,
     /// Per-CPU memory-operand translation cache (see [`crate::dcache`]).
     dcache: DCache,
     /// Cache-counter snapshot at the last simtrace export, so each
@@ -228,12 +221,9 @@ impl Cpu {
             cur_page_flags: PageFlags::empty(),
             instrument: simtrace::enabled(),
             chaos: simfault::armed(),
-            fastpath: simmem::fastpath_enabled(),
+            engine: simmem::fastpath_enabled(),
             icache: InstrCache::new(),
-            blocks: simmem::blocks_enabled(),
             bcache: BlockCache::new(),
-            xblocks: simmem::xblocks_enabled(),
-            threaded: simmem::threaded_enabled(),
             dcache: DCache::new(),
             reported: HostCacheStats::default(),
         }
@@ -347,7 +337,7 @@ impl Cpu {
         deadline: u64,
     ) -> RunExit {
         self.refresh_instrumentation();
-        let exit = if self.blocks {
+        let exit = if self.engine {
             self.run_blocks(mem, rev, cost, deadline)
         } else {
             self.run_interp(mem, rev, cost, deadline)
@@ -356,7 +346,7 @@ impl Cpu {
         exit
     }
 
-    /// The per-instruction run loop (used when the block engine is off).
+    /// The per-instruction run loop of the interpreter oracle.
     fn run_interp(
         &mut self,
         mem: &mut Memory,
@@ -538,7 +528,7 @@ impl Cpu {
     /// replayed (including the one APL-cache probe the full check would
     /// have made) instead of re-derived; any mismatch falls back to the
     /// full [`codoms::check::Checker::check_jump`], which re-installs the
-    /// descriptor on success. Disabled by `CDVM_NO_XBLOCKS=1`.
+    /// descriptor on success.
     fn exec_block(
         &mut self,
         bcache: &mut BlockCache,
@@ -555,33 +545,30 @@ impl Cpu {
             self.cycles += cost.tlb_miss;
         }
         if !self.kernel_mode && pte.tag != self.cur_dom {
-            let cached = self.xblocks
-                && match bcache.cross_desc(slot) {
-                    Some(d)
-                        if d.from == self.cur_dom
-                            && d.to == pte.tag
-                            && d.apl_version == self.apl_cache.version()
-                            && match d.grant {
-                                CrossGrant::Apl => true,
-                                CrossGrant::Cap { idx, cap } => {
-                                    self.caps[idx as usize] == Some(cap)
-                                        && rev.is_valid(&cap, self.thread)
-                                }
-                            } =>
-                    {
-                        match d.probe {
-                            CrossProbe::Hit(hw) => self.apl_cache.touch(hw),
-                            CrossProbe::Miss => self.apl_cache.note_miss(),
-                        }
-                        bcache.note_cross_hit();
-                        true
+            let cached = match bcache.cross_desc(slot) {
+                Some(d)
+                    if d.from == self.cur_dom
+                        && d.to == pte.tag
+                        && d.apl_version == self.apl_cache.version()
+                        && match d.grant {
+                            CrossGrant::Apl => true,
+                            CrossGrant::Cap { idx, cap } => {
+                                self.caps[idx as usize] == Some(cap)
+                                    && rev.is_valid(&cap, self.thread)
+                            }
+                        } =>
+                {
+                    match d.probe {
+                        CrossProbe::Hit(hw) => self.apl_cache.touch(hw),
+                        CrossProbe::Miss => self.apl_cache.note_miss(),
                     }
-                    _ => false,
-                };
-            if !cached {
-                if self.xblocks {
-                    bcache.note_cross_miss();
+                    bcache.note_cross_hit();
+                    true
                 }
+                _ => false,
+            };
+            if !cached {
+                bcache.note_cross_miss();
                 match self.checker.check_jump(
                     self.cur_dom,
                     &pte,
@@ -591,11 +578,7 @@ impl Cpu {
                     rev,
                     self.thread,
                 ) {
-                    Ok(decision) => {
-                        if self.xblocks {
-                            self.install_cross_desc(bcache, slot, pte.tag, decision);
-                        }
-                    }
+                    Ok(decision) => self.install_cross_desc(bcache, slot, pte.tag, decision),
                     Err(CheckError::AplMiss { tag }) => {
                         return BlockOutcome::Event(StepEvent::AplMiss(tag))
                     }
@@ -622,7 +605,7 @@ impl Cpu {
         let block = bcache.block_at(slot);
 
         let mut start = 0;
-        if self.threaded && !self.instrument && block.pure_len > 0 {
+        if !self.instrument && block.pure_len > 0 {
             // Direct-threaded dispatch of the pure prefix: every
             // instruction in it provably retires with no event, no memory
             // access and no privilege check (see [`crate::threaded`]), so
@@ -657,7 +640,7 @@ impl Cpu {
             // and skip the full `execute()` match. They provably retire
             // with no event, no memory write and no instrumentation to
             // record, so the rest of this iteration's plumbing is dead.
-            if self.threaded && !self.instrument && bi.handler != 0 {
+            if !self.instrument && bi.handler != 0 {
                 crate::threaded::HANDLERS[bi.handler as usize](self, bi, cost);
                 self.retired += 1;
                 *retired += 1;
@@ -784,7 +767,7 @@ impl Cpu {
         // crossing checks, fault order — is identical on both paths.
         let pc = self.pc;
         let aligned = page_offset(pc).is_multiple_of(INSTR_BYTES);
-        let cached: Option<(Pte, Option<Instr>)> = if self.fastpath && aligned {
+        let cached: Option<(Pte, Option<Instr>)> = if self.engine && aligned {
             self.icache.lookup(
                 self.active_pt,
                 vpn(pc),
@@ -878,7 +861,7 @@ impl Cpu {
                     Some(i) => {
                         // Decodable aligned fetch on a translated page:
                         // predecode the whole page for subsequent fetches.
-                        if self.fastpath && aligned {
+                        if self.engine && aligned {
                             self.fill_icache(mem, pte, pc);
                         }
                         i
@@ -1470,7 +1453,7 @@ impl Cpu {
         size: u64,
         write: bool,
     ) -> Option<(Pte, DGrant, bool, bool)> {
-        if !self.xblocks || page_offset(addr) > PAGE_SIZE - size {
+        if !self.engine || page_offset(addr) > PAGE_SIZE - size {
             return None;
         }
         let pt = self.active_pt;
@@ -1505,7 +1488,7 @@ impl Cpu {
         addr: u64,
         size: u64,
     ) -> Option<(Pte, DGrant, bool, bool)> {
-        if !self.xblocks || page_offset(addr) > PAGE_SIZE - size {
+        if !self.engine || page_offset(addr) > PAGE_SIZE - size {
             return None;
         }
         let pt = self.active_pt;

@@ -36,8 +36,8 @@
 //! cached (the tamper fault must fire). Accesses that straddle a page
 //! boundary bypass the cache entirely.
 //!
-//! Gated by `CDVM_NO_XBLOCKS=1` ([`simmem::xblocks_enabled`]), together
-//! with the block-edge crossing descriptors.
+//! Part of the full engine: off, like every other host cache, in the
+//! interpreter oracle (`CDVM_NO_FASTPATH=1`).
 
 use codoms::HwTag;
 use simmem::{DomainTag, PageTableId, Pte};

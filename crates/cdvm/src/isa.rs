@@ -249,10 +249,16 @@ impl Instr {
     }
 
     /// Decodes from the fixed 8-byte format. Returns `None` for an unknown
-    /// opcode (an illegal-instruction fault in the VM).
+    /// opcode or a register field above 31 (an illegal-instruction fault in
+    /// the VM).
     pub fn decode(b: &[u8; 8]) -> Option<Instr> {
         let (op, rd, rs1, rs2) = (b[0], b[1], b[2], b[3]);
         let imm = i32::from_le_bytes(b[4..8].try_into().expect("slice len 4"));
+        // Register fields carry 5-bit indices in whole bytes: a larger
+        // value is an illegal encoding, not a register.
+        if rd >= 32 || rs1 >= 32 || rs2 >= 32 {
+            return None;
+        }
         use Instr::*;
         Some(match op {
             0 => Nop,
@@ -456,6 +462,8 @@ mod tests {
     fn unknown_opcode_decodes_to_none() {
         let b = [0xff, 0, 0, 0, 0, 0, 0, 0];
         assert_eq!(Instr::decode(&b), None);
+        // An out-of-range register field is illegal too (Add rd=32).
+        assert_eq!(Instr::decode(&[3, 32, 0, 0, 0, 0, 0, 0]), None);
     }
 
     #[test]

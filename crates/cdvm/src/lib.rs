@@ -19,18 +19,21 @@
 //!   registers, DCS bounds, APL cache, TLBs) and the fetch/check/execute
 //!   loop.
 //! * [`icache`] — the host-side per-page decoded-instruction cache behind
-//!   the fetch fast path (disable with `CDVM_NO_FASTPATH=1`).
+//!   the fetch fast path.
 //! * [`blocks`] — the superblock cache: straight-line instruction runs
 //!   validated once per entry and dispatched block-to-block with batched
-//!   cost accounting (disable with `CDVM_NO_BLOCKS=1`). Block edges also
-//!   carry pre-validated cross-domain crossing descriptors
-//!   (disable with `CDVM_NO_XBLOCKS=1`).
+//!   cost accounting. Block edges also carry pre-validated cross-domain
+//!   crossing descriptors.
 //! * [`threaded`] — direct-threaded dispatch for the pure ALU prefix of a
 //!   block: pre-resolved handler pointers instead of a `match` per
-//!   instruction (disable with `CDVM_NO_THREADED=1`).
+//!   instruction.
 //! * [`dcache`] — the per-CPU memory-operand translation cache: repeated
-//!   same-page loads/stores skip the full page walk and CODOMs data check
-//!   (shares the `CDVM_NO_XBLOCKS=1` kill switch).
+//!   same-page loads/stores skip the full page walk and CODOMs data check.
+//!
+//! The last four are layers of one execution engine, on by default.
+//! `CDVM_NO_FASTPATH=1` ([`simmem::fastpath_enabled`]) turns all of them
+//! off and runs the interpreter oracle the differential tests compare the
+//! engine against.
 //!
 //! A [`Cpu`] holds no memory of its own: `simkernel` runs every simulated
 //! CPU against one shared [`simmem::Memory`], interleaving their slices in

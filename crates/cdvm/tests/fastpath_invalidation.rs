@@ -20,10 +20,14 @@ struct Env {
     cpu: Cpu,
     rev: RevocationTable,
     cost: CostModel,
+    /// Held for the test's lifetime, so the CPU's sampled mode stays the
+    /// one [`Env::assert_icache_used`] reads.
+    _mode: std::sync::MutexGuard<'static, ()>,
 }
 
 impl Env {
     fn new(code: &[u8]) -> Env {
+        let _mode = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let mut mem = Memory::new();
         let pt = Memory::GLOBAL_PT;
         mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
@@ -32,7 +36,7 @@ impl Env {
         cpu.pc = CODE;
         cpu.cur_dom = DomainTag(1);
         cpu.thread = 1;
-        Env { mem, cpu, rev: RevocationTable::new(), cost: CostModel::default() }
+        Env { mem, cpu, rev: RevocationTable::new(), cost: CostModel::default(), _mode }
     }
 
     fn run(&mut self) -> StepEvent {
@@ -339,12 +343,9 @@ fn cross_cpu_code_patch_invalidates_peer_icache_at_barrier() {
     // in its next slice.
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let m = run_cross_cpu_patch();
-    if simmem::blocks_enabled() {
+    if simmem::fastpath_enabled() {
         let b = m.cpus[0].block_stats();
         assert!(b.hits > 0, "spin loop should have hit the block cache");
-    } else if simmem::fastpath_enabled() {
-        let (hits, _) = m.cpus[0].icache_stats();
-        assert!(hits > 0, "spin loop should have warmed the icache");
     }
 }
 
@@ -376,14 +377,9 @@ fn remap_between_quanta_halts_all_cpus_via_generation_bump() {
     m.round();
     m.round();
     assert!(!m.all_halted());
-    if simmem::blocks_enabled() {
+    if simmem::fastpath_enabled() {
         for c in &m.cpus {
             assert!(c.block_stats().hits > 0, "cpu{} never hit its block cache", c.index);
-        }
-    } else if simmem::fastpath_enabled() {
-        for c in &m.cpus {
-            let (hits, _) = c.icache_stats();
-            assert!(hits > 0, "cpu{} never hit its icache", c.index);
         }
     }
 
@@ -401,16 +397,16 @@ fn remap_between_quanta_halts_all_cpus_via_generation_bump() {
 // every entry (including chained entries), bail mid-block on
 // self-modification, and re-run the CODOMs crossing check — which sees
 // revocation-epoch bumps — on every chained transfer. Each scenario runs
-// with the engine forced on and forced off and must end identically.
+// on the engine and on the interpreter oracle and must end identically.
 // ---------------------------------------------------------------------
 
 use codoms::apl::Perm;
 use codoms::cap::{CapKind, Capability};
 
-/// `set_blocks` is process-global; tests that toggle it — or that condition
-/// assertions on `blocks_enabled()` around a multi-CPU run — hold this lock
-/// so a concurrent toggle can't desynchronise a CPU's sampled mode from the
-/// global the assertion reads.
+/// `set_fastpath` is process-global; tests that set it — or that condition
+/// assertions on `fastpath_enabled()`, like every [`Env`] test — hold this
+/// lock so a concurrent change can't desynchronise a CPU's sampled mode
+/// from the global the assertion reads.
 static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const CODE3: u64 = 0x30_000;
@@ -444,8 +440,8 @@ fn store_into_own_block_bails_and_executes_patched_tail() {
 
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut outcomes = Vec::new();
-    for blocks in [false, true] {
-        simmem::set_blocks(Some(blocks));
+    for engine in [false, true] {
+        simmem::set_fastpath(Some(engine));
         let mut mem = Memory::new();
         let pt = Memory::GLOBAL_PT;
         mem.map_anon(pt, CODE, 1, PageFlags::RWX, DomainTag(1));
@@ -457,14 +453,14 @@ fn store_into_own_block_bails_and_executes_patched_tail() {
         let mut rev = RevocationTable::new();
         let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
         assert_eq!(ev, StepEvent::Halt);
-        assert_eq!(cpu.reg(A0), 222, "stale block tail executed (blocks={blocks})");
-        if blocks {
+        assert_eq!(cpu.reg(A0), 222, "stale block tail executed (engine={engine})");
+        if engine {
             assert!(cpu.block_stats().bails >= 1, "expected a mid-block bail");
         }
         outcomes.push((ev, cpu.cycles, cpu.retired, cpu.reg(A0)));
-        simmem::set_blocks(None);
+        simmem::set_fastpath(None);
     }
-    assert_eq!(outcomes[0], outcomes[1], "block engine diverged from interpreter");
+    assert_eq!(outcomes[0], outcomes[1], "engine diverged from the interpreter oracle");
 }
 
 #[test]
@@ -483,8 +479,8 @@ fn remapped_chain_target_is_reformed_not_followed() {
     };
 
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for blocks in [false, true] {
-        simmem::set_blocks(Some(blocks));
+    for engine in [false, true] {
+        simmem::set_fastpath(Some(engine));
         let mut mem = Memory::new();
         let pt = Memory::GLOBAL_PT;
         mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
@@ -501,7 +497,7 @@ fn remapped_chain_target_is_reformed_not_followed() {
             assert_eq!(run_to_event(&mut cpu, &mut mem, &mut rev), StepEvent::Halt);
             assert_eq!(cpu.reg(A0), 5);
         }
-        if blocks {
+        if engine {
             assert!(cpu.block_stats().chains >= 1, "warm jump should chain");
         }
         mem.unmap(pt, CODE3, 1);
@@ -509,8 +505,8 @@ fn remapped_chain_target_is_reformed_not_followed() {
         mem.kwrite(pt, CODE3, &body(7)).unwrap();
         cpu.pc = CODE;
         assert_eq!(run_to_event(&mut cpu, &mut mem, &mut rev), StepEvent::Halt);
-        assert_eq!(cpu.reg(A0), 7, "stale chained block survived remap (blocks={blocks})");
-        simmem::set_blocks(None);
+        assert_eq!(cpu.reg(A0), 7, "stale chained block survived remap (engine={engine})");
+        simmem::set_fastpath(None);
     }
 }
 
@@ -532,9 +528,8 @@ fn revocation_between_chained_blocks_faults_at_the_crossing() {
 
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut outcomes = Vec::new();
-    for (blocks, xblocks) in XMODES {
-        simmem::set_blocks(Some(blocks));
-        simmem::set_xblocks(Some(xblocks));
+    for engine in [false, true] {
+        simmem::set_fastpath(Some(engine));
         let mut mem = Memory::new();
         let pt = Memory::GLOBAL_PT;
         mem.map_anon(pt, CODE, 1, PageFlags::RX, DomainTag(1));
@@ -562,38 +557,33 @@ fn revocation_between_chained_blocks_faults_at_the_crossing() {
         let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
         match ev {
             StepEvent::Fault(f) => {
-                assert_eq!(f.pc, CODE3, "denial must land on the re-entry (blocks={blocks})");
+                assert_eq!(f.pc, CODE3, "denial must land on the re-entry (engine={engine})");
                 assert!(
                     matches!(f.kind, FaultKind::Codoms(_)),
                     "expected CODOMs denial after revocation, got {:?}",
                     f.kind
                 );
             }
-            ev => {
-                panic!("revoked crossing was allowed (blocks={blocks} xblocks={xblocks}): {ev:?}")
-            }
+            ev => panic!("revoked crossing was allowed (engine={engine}): {ev:?}"),
         }
         assert_eq!(cpu.domain_crossings, 2, "one entry, one return before the denial");
         outcomes.push((ev, cpu.cycles, cpu.retired, cpu.domain_crossings));
-        simmem::set_blocks(None);
-        simmem::set_xblocks(None);
+        simmem::set_fastpath(None);
     }
-    for o in &outcomes[1..] {
-        assert_eq!(*o, outcomes[0], "cache mode diverged from interpreter");
-    }
+    assert_eq!(outcomes[0], outcomes[1], "engine diverged from the interpreter oracle");
 }
 
 #[test]
 fn smp_cross_cpu_patch_invalidates_chained_blocks_at_barrier() {
-    // The cross-CPU patch scenario with the block engine forced on: CPU 0's
+    // The cross-CPU patch scenario with the engine forced on: CPU 0's
     // spin loop runs as chained superblocks, CPU 1's store lands between
     // CPU 0's slices and bumps the code epoch (CPU 0's block formation
     // marked the frame as code), and CPU 0 must re-form — not chain
     // into — its stale loop blocks in its next slice.
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_blocks(Some(true));
+    simmem::set_fastpath(Some(true));
     let m = run_cross_cpu_patch();
-    simmem::set_blocks(None);
+    simmem::set_fastpath(None);
     let b = m.cpus[0].block_stats();
     assert!(b.chains > 0, "spin loop should have chained");
     // At least the loop blocks' initial formation plus the post-patch
@@ -602,7 +592,7 @@ fn smp_cross_cpu_patch_invalidates_chained_blocks_at_barrier() {
 }
 
 // ---------------------------------------------------------------------
-// Crossing-descriptor invalidation: in xblocks mode a block whose entry
+// Crossing-descriptor invalidation: on the engine a block whose entry
 // edge crosses domains carries a pre-validated crossing descriptor, and
 // chained re-entries replay it instead of re-running the full CODOMs
 // check. Every source of authority change — APL content, page tags,
@@ -611,11 +601,6 @@ fn smp_cross_cpu_patch_invalidates_chained_blocks_at_barrier() {
 // ---------------------------------------------------------------------
 
 const FAR: u64 = 0x70_000;
-
-/// `(blocks, xblocks)` combinations every crossing scenario must agree
-/// on. xblocks without blocks still exercises the dcache, but crossing
-/// descriptors only exist on block edges.
-const XMODES: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
 /// A two-domain ping-pong: domain 1 at `CODE` jumps into domain 2 at
 /// `FAR`; domain 2 counts iterations in T4 and either jumps back or
@@ -639,15 +624,13 @@ fn ping_pong(iters: u64) -> (Vec<u8>, Vec<u8>) {
 
 /// Builds the two-domain world with APL grants both ways, runs the warm
 /// ping-pong to `Halt`, applies `mutate`, resets the CPU to `CODE`, and
-/// runs again. Returns the post-mutation outcome. With xblocks on, the
-/// warm phase must actually have served crossing descriptors.
+/// runs again. Returns the post-mutation outcome. On the engine, the warm
+/// phase must actually have served crossing descriptors.
 fn crossing_scenario(
-    blocks: bool,
-    xblocks: bool,
+    engine: bool,
     mutate: impl FnOnce(&mut Cpu, &mut Memory),
 ) -> (StepEvent, u64, u64, u64) {
-    simmem::set_blocks(Some(blocks));
-    simmem::set_xblocks(Some(xblocks));
+    simmem::set_fastpath(Some(engine));
     let (caller, callee) = ping_pong(200);
     let mut mem = Memory::new();
     let pt = Memory::GLOBAL_PT;
@@ -667,7 +650,7 @@ fn crossing_scenario(
     cpu.apl_cache.fill(DomainTag(2), back);
     let mut rev = RevocationTable::new();
     assert_eq!(run_to_event(&mut cpu, &mut mem, &mut rev), StepEvent::Halt, "warm run");
-    if blocks && xblocks {
+    if engine {
         assert!(cpu.block_stats().cross_hits > 0, "warm crossings must be served by descriptors");
     }
     mutate(&mut cpu, &mut mem);
@@ -675,12 +658,11 @@ fn crossing_scenario(
     cpu.cur_dom = DomainTag(1); // the warm run halted inside domain 2
     cpu.set_reg(T4, 0); // reset the callee's iteration counter
     let ev = run_to_event(&mut cpu, &mut mem, &mut rev);
-    simmem::set_blocks(None);
-    simmem::set_xblocks(None);
+    simmem::set_fastpath(None);
     (ev, cpu.cycles, cpu.retired, cpu.domain_crossings)
 }
 
-/// Runs `mutate` through every mode combination and asserts the
+/// Runs `mutate` on the oracle and on the engine and asserts the
 /// post-mutation outcome (event, cycles, retired, crossings) is
 /// identical; returns the common outcome for scenario-specific checks.
 fn assert_crossing_identical(
@@ -688,11 +670,9 @@ fn assert_crossing_identical(
     mutate: impl Fn(&mut Cpu, &mut Memory) + Copy,
 ) -> (StepEvent, u64, u64, u64) {
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let base = crossing_scenario(false, false, mutate);
-    for (blocks, xblocks) in XMODES.into_iter().skip(1) {
-        let got = crossing_scenario(blocks, xblocks, mutate);
-        assert_eq!(got, base, "{name} [blocks={blocks} xblocks={xblocks}]: diverged");
-    }
+    let base = crossing_scenario(false, mutate);
+    let got = crossing_scenario(true, mutate);
+    assert_eq!(got, base, "{name}: engine diverged from the interpreter oracle");
     base
 }
 
@@ -757,12 +737,11 @@ fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
     // condition; the store lands between CPU 0's slices and bumps the
     // code epoch, which must re-form the crossing blocks — re-running
     // the CODOMs checks — rather than serve stale descriptors. The
-    // simulated outcome must be identical with and without xblocks.
+    // simulated outcome must be identical on the oracle and the engine.
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut outcomes = Vec::new();
-    for xblocks in [false, true] {
-        simmem::set_blocks(Some(true));
-        simmem::set_xblocks(Some(xblocks));
+    for engine in [false, true] {
+        simmem::set_fastpath(Some(engine));
         let mut a = Asm::new();
         a.push(Instr::Movi { rd: A0, imm: 1 }); // patch site (CODE + 0)
         a.li(T0, 2);
@@ -796,10 +775,10 @@ fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
             cpu.apl_cache.fill(DomainTag(2), back);
         }
         let rounds = m.run_to_halt(1_000);
-        assert!(m.all_halted(), "spin never saw the patch (xblocks={xblocks})");
+        assert!(m.all_halted(), "spin never saw the patch (engine={engine})");
         assert_eq!(m.cpus[0].reg(A0), 2, "stale crossing block after cross-CPU patch");
         assert!(rounds >= 2, "patch visible too early: {rounds} rounds");
-        if xblocks {
+        if engine {
             let b = m.cpus[0].block_stats();
             assert!(b.cross_hits > 0, "spin loop should have served crossing descriptors");
         }
@@ -810,8 +789,7 @@ fn smp_cross_cpu_epoch_bump_invalidates_crossing_blocks_at_barrier() {
             m.cpus[0].domain_crossings,
             m.cpus[0].reg(A0),
         ));
-        simmem::set_blocks(None);
-        simmem::set_xblocks(None);
+        simmem::set_fastpath(None);
     }
-    assert_eq!(outcomes[0], outcomes[1], "xblocks changed the outcome");
+    assert_eq!(outcomes[0], outcomes[1], "the engine changed the outcome");
 }

@@ -17,8 +17,8 @@
 //!   of page tables, which the VM and kernel use for all accesses. It fronts
 //!   the page tables with a host-side translation cache (a pure host-speed
 //!   optimisation, invisible to the simulation).
-//! * [`fastpath`] — the process-wide `CDVM_NO_FASTPATH` switch controlling
-//!   the host-side caches here and in `cdvm`.
+//! * [`fastpath`] — the process-wide `CDVM_NO_FASTPATH` switch that turns
+//!   every host-side cache here and in `cdvm` off (the interpreter oracle).
 //!
 //! The design follows the paper's §6.1.3: dIPC-enabled processes share a
 //! single page table within a global virtual address space, while regular
@@ -32,10 +32,7 @@ pub mod phys;
 pub mod tlb;
 pub mod vas;
 
-pub use fastpath::{
-    blocks_enabled, fastpath_enabled, set_blocks, set_fastpath, set_threaded, set_xblocks,
-    threaded_enabled, xblocks_enabled,
-};
+pub use fastpath::{fastpath_enabled, set_fastpath};
 pub use mem::{MemFault, Memory};
 pub use page::{DomainTag, PageFlags, PAGE_SHIFT, PAGE_SIZE};
 pub use pagetable::{PageTable, PageTableId, Pte};

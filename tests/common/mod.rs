@@ -54,3 +54,16 @@ pub fn prod_run(pp: &ProdParams, seed: u64, rate: f64, window_ns: u64) -> (ProdR
     let r = s.run_open_loop(&mut g, &mut tb, &RunOpts::default());
     (r, s.sys.k.now_max())
 }
+
+/// Drops what legitimately differs between the interpreter oracle and the
+/// engine from a simtrace metrics summary: the `host.*` cache-telemetry
+/// counter lines, and the `(none)` placeholder a section prints when it is
+/// empty (the oracle's counter section is empty where the engine's holds
+/// only `host.*` lines). Every simulated line remains.
+pub fn strip_host_counters(summary: &str) -> String {
+    summary
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("host.") && l.trim() != "(none)")
+        .map(|l| format!("{l}\n"))
+        .collect()
+}

@@ -556,16 +556,16 @@ fn revocation_injection_is_identical_with_and_without_xblocks() {
     // revocation state on every served crossing, so the injection must
     // surface at exactly the same instruction — same fault log, same
     // cycle count, same counters — whether the crossing/translation
-    // caches are on or off.
+    // caches are on (the engine) or off (the interpreter oracle).
     let plan = |seed| FaultPlan::new(seed).rate(Site::Revoke, 0.005);
     for seed in [4u64, 13] {
-        simmem::set_xblocks(Some(false));
+        simmem::set_fastpath(Some(false));
         let off = run_micro(Some(plan(seed)));
-        simmem::set_xblocks(Some(true));
+        simmem::set_fastpath(Some(true));
         let on = run_micro(Some(plan(seed)));
-        simmem::set_xblocks(None);
+        simmem::set_fastpath(None);
         assert!(on.injections > 0, "seed {seed}: plan injected nothing");
-        assert_eq!(off.log, on.log, "seed {seed}: injection logs diverged across xblocks");
+        assert_eq!(off.log, on.log, "seed {seed}: injection logs diverged from the oracle");
         assert_eq!(off.final_cycles, on.final_cycles, "seed {seed}: cycle counts diverged");
         assert_eq!((off.ok, off.err), (on.ok, on.err), "seed {seed}: counters diverged");
         assert!(off.caller_alive && on.caller_alive, "seed {seed}: caller died");

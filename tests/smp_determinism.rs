@@ -2,13 +2,14 @@
 //! execution: four CPUs run on one shared [`Memory`] the way the kernel's
 //! `run_cpu` drives them — one `Cpu::run` slice per CPU in turn — and the
 //! full observable outcome (architectural state, memory, traces) is
-//! byte-identical with the block engine, crossing descriptors and
-//! direct-threaded dispatch each forced on and off.
+//! byte-identical on the interpreter oracle and on the full engine.
 //!
 //! The workload is deliberately adversarial: all CPUs hammer the same
 //! shared page (including the *same byte*), write per-CPU slots 8 bytes
 //! apart, and skew their cycle counts with CPU-dependent work so slice
 //! boundaries never line up.
+
+mod common;
 
 use cdvm::isa::reg::*;
 use cdvm::{Asm, CostModel, Cpu, Instr, StepEvent};
@@ -113,74 +114,50 @@ fn run_slices() -> String {
     fingerprint(&cpus, &mem)
 }
 
-/// The engine switches (`simmem::set_blocks` and friends) are
-/// process-global; every test that toggles them holds this lock so a
-/// concurrent toggle can't split a comparison pair across modes.
+/// The engine switch (`simmem::set_fastpath`) is process-global; every
+/// test that sets it holds this lock so a concurrent change can't split a
+/// comparison pair across modes.
 static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Runs the workload with the switch `set` forced off, then on, and
-/// asserts identical fingerprints. `blocks` pins the block engine for
-/// switches that only act inside it.
-fn assert_switch_invisible(name: &str, blocks: Option<bool>, set: fn(Option<bool>)) {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simmem::set_blocks(blocks);
-    set(Some(false));
-    let off = run_slices();
-    set(Some(true));
-    let on = run_slices();
-    set(None);
-    simmem::set_blocks(None);
-    assert_eq!(off, on, "{name} changed the 4-CPU outcome");
+/// Runs `f` with CPUs and memory constructed in the given engine mode.
+fn in_mode<T>(engine: bool, f: impl FnOnce() -> T) -> T {
+    simmem::set_fastpath(Some(engine));
+    let out = f();
+    simmem::set_fastpath(None);
+    out
 }
 
-/// The superblock engine must not perturb multi-CPU execution: the 4-CPU
-/// fingerprint — architectural state and shared memory — is byte-identical
-/// with the engine forced on and forced off.
+/// The engine must not perturb multi-CPU execution: the 4-CPU fingerprint
+/// — architectural state and shared memory — is byte-identical on the
+/// interpreter oracle and on the full engine (superblocks, crossing
+/// descriptors, direct-threaded dispatch, data-operand cache).
 #[test]
 fn n4_identical_with_and_without_block_engine() {
-    assert_switch_invisible("block engine", None, simmem::set_blocks);
+    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let oracle = in_mode(false, run_slices);
+    let engine = in_mode(true, run_slices);
+    assert_eq!(oracle, engine, "the engine changed the 4-CPU outcome");
 }
 
-/// Same across-mode identity for the exported traces: the Chrome JSON and
-/// folded streams are byte-identical; the metrics summary is identical
-/// once the mode-dependent `host.*` cache counters are dropped.
+/// Same oracle-versus-engine identity for the exported traces: the Chrome
+/// JSON and folded streams are byte-identical; the metrics summary is
+/// identical once the mode-dependent `host.*` cache counters are dropped.
 #[test]
 fn n4_traces_identical_with_and_without_block_engine() {
-    let strip_host = |s: &str| -> String {
-        s.lines()
-            .filter(|l| !l.trim_start().starts_with("host."))
-            .map(|l| format!("{l}\n"))
-            .collect()
-    };
-    let run = |blocks: bool| {
-        simmem::set_blocks(Some(blocks));
-        simtrace::enable("/dev/null");
-        let fp = run_slices();
-        let (json, folded, summary) = simtrace::render();
-        simtrace::disable();
-        simmem::set_blocks(None);
-        (fp, json, folded, strip_host(&summary))
+    let run = |engine: bool| {
+        in_mode(engine, || {
+            simtrace::enable("/dev/null");
+            let fp = run_slices();
+            let (json, folded, summary) = simtrace::render();
+            simtrace::disable();
+            (fp, json, folded, common::strip_host_counters(&summary))
+        })
     };
     let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let interp = run(false);
-    let blocks = run(true);
-    assert_eq!(interp.0, blocks.0, "architectural fingerprint diverged");
-    assert_eq!(interp.1, blocks.1, "chrome trace diverged");
-    assert_eq!(interp.2, blocks.2, "folded trace diverged");
-    assert_eq!(interp.3, blocks.3, "summary (sans host.*) diverged");
-}
-
-/// Same identity for the third-generation engine layers: the 4-CPU
-/// fingerprint is byte-identical with the crossing-descriptor/translation
-/// caches (xblocks) forced on and off.
-#[test]
-fn n4_identical_with_and_without_xblocks() {
-    assert_switch_invisible("xblocks", Some(true), simmem::set_xblocks);
-}
-
-/// And for direct-threaded dispatch: handler-table execution of pure
-/// instructions must not perturb the fingerprint either.
-#[test]
-fn n4_identical_with_and_without_threaded_dispatch() {
-    assert_switch_invisible("threaded dispatch", Some(true), simmem::set_threaded);
+    let oracle = run(false);
+    let engine = run(true);
+    assert_eq!(oracle.0, engine.0, "architectural fingerprint diverged");
+    assert_eq!(oracle.1, engine.1, "chrome trace diverged");
+    assert_eq!(oracle.2, engine.2, "folded trace diverged");
+    assert_eq!(oracle.3, engine.3, "summary (sans host.*) diverged");
 }
